@@ -138,21 +138,25 @@ int main(int argc, char** argv) {
   }
 
   const PointSet canonical = CanonicalCloud();
-  // Both hosts serve the identical wire protocol; pick one.
+  // Both hosts serve the identical wire protocol; pick one. Everything but
+  // Start/Stop/port is the shared host core.
   std::unique_ptr<server::SyncServer> threaded;
   std::unique_ptr<server::AsyncSyncServer> async;
+  server::HostCore* host = nullptr;
   if (use_async) {
     server::AsyncSyncServerOptions options;
     options.context = Context();
     options.params = Params();
     options.shards = shards;
     async = std::make_unique<server::AsyncSyncServer>(canonical, options);
+    host = async.get();
   } else {
     server::SyncServerOptions options;
     options.context = Context();
     options.params = Params();
     options.worker_threads = workers;
     threaded = std::make_unique<server::SyncServer>(canonical, options);
+    host = threaded.get();
   }
   const bool started =
       use_async ? async->Start(net::TcpListener::Listen("127.0.0.1", 0))
@@ -164,9 +168,7 @@ int main(int argc, char** argv) {
   const uint16_t port = use_async ? async->port() : threaded->port();
   const auto start_time = std::chrono::steady_clock::now();
   obs::MetricsHttpServer metrics_http(
-      [&]() {
-        return use_async ? async->RenderMetrics() : threaded->RenderMetrics();
-      },
+      [&]() { return host->RenderMetrics(); },
       [&]() {
         // /healthz: one line a load balancer (or a human) can eyeball —
         // liveness, uptime, and the replication position.
@@ -174,9 +176,8 @@ int main(int argc, char** argv) {
             std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                           start_time)
                 .count();
-        const uint64_t seq =
-            use_async ? async->replica_seq() : threaded->replica_seq();
-        const bool dirty = use_async ? false : threaded->repair_dirty();
+        const uint64_t seq = host->replica_seq();
+        const bool dirty = host->repair_dirty();
         char line[128];
         std::snprintf(line, sizeof line,
                       "ok uptime_seconds=%.1f replica_seq=%llu dirty=%d\n",
@@ -256,8 +257,7 @@ int main(int argc, char** argv) {
     threaded->Stop();
   }
 
-  const server::SyncServerMetrics metrics =
-      use_async ? async->metrics() : threaded->metrics();
+  const server::SyncServerMetrics metrics = host->metrics();
   std::printf("\nserver: %zu accepted, %zu ok, %zu failed, %zu rejected, "
               "peak %zu concurrent, %zu B in, %zu B out\n",
               metrics.connections_accepted, metrics.syncs_completed,

@@ -206,8 +206,10 @@ class Harness {
     replica::RoundRecord record;
     if (step.async_host) {
       // Tail leg from a transient async host mirroring the source's set
-      // and sharing its changelog; "@pull" repairs stay on the source's
-      // threaded host (the async reactor serves only the writer verbs).
+      // and sharing its changelog. The mirror starts at replica_seq 0 and
+      // clean — it does not carry the source's position or dirty flag —
+      // so "@pull" repairs, which report both, stay on the source's own
+      // host through the split-dialer seam.
       server::AsyncSyncServerOptions async_options;
       async_options.context = ctx_;
       async_options.params = params_;

@@ -14,11 +14,13 @@ size_t IbltConfig::RoundedCells() const {
   return m;
 }
 
+size_t IbltConfig::CellBits() const {
+  return static_cast<size_t>(count_bits) + 64 +
+         static_cast<size_t>(checksum_bits) + static_cast<size_t>(value_bits);
+}
+
 size_t IbltConfig::SerializedBits() const {
-  const size_t per_cell = static_cast<size_t>(count_bits) + 64 +
-                          static_cast<size_t>(checksum_bits) +
-                          static_cast<size_t>(value_bits);
-  return RoundedCells() * per_cell;
+  return RoundedCells() * CellBits();
 }
 
 Iblt::Iblt(const IbltConfig& config)
@@ -152,6 +154,14 @@ void Iblt::Serialize(BitWriter* out) const {
 
 std::optional<Iblt> Iblt::Deserialize(const IbltConfig& config,
                                       BitReader* in) {
+  // The cell count is often claimed by the wire: refuse one the reader
+  // cannot back before allocating a single cell (cells first, so that
+  // rounding it up cannot overflow).
+  if (!WireCountFits(config.cells, config.CellBits(), in->bits_remaining()) ||
+      !WireCountFits(config.RoundedCells(), config.CellBits(),
+                     in->bits_remaining())) {
+    return std::nullopt;
+  }
   Iblt table(config);
   const int count_bits = config.count_bits;
   for (size_t i = 0; i < table.m_; ++i) {

@@ -49,6 +49,9 @@ struct IbltConfig {
   /// Cells after rounding up to a multiple of q.
   size_t RoundedCells() const;
 
+  /// Serialized size in bits of one cell.
+  size_t CellBits() const;
+
   /// Exact serialized size in bits of a table with this configuration.
   size_t SerializedBits() const;
 };

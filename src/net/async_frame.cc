@@ -60,9 +60,7 @@ bool AsyncFramedConn::Send(const transport::Message& message) {
   // peer) or a decode error still lets the server ship replies and the
   // @result over the intact outbound direction.
   if (write_failed_) return false;
-  const size_t before = outbox_.size();
   EncodeFrame(message, &outbox_);
-  bytes_enqueued_ += outbox_.size() - before;
   return Flush() != IoStatus::kError;
 }
 

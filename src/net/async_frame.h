@@ -93,11 +93,6 @@ class AsyncFramedConn {
   size_t bytes_sent() const { return bytes_sent_; }
   size_t bytes_received() const { return bytes_received_; }
 
-  /// Encoded bytes accepted by Send (whether or not flushed yet);
-  /// bytes_sent() lags it by the buffered remainder. Frame-granular, so
-  /// per-frame accounting (trace spans) can difference it.
-  size_t bytes_enqueued() const { return bytes_enqueued_; }
-
  private:
   void FailTransport();
 
@@ -115,7 +110,6 @@ class AsyncFramedConn {
   bool write_failed_ = false;  ///< Write side failed; sends are dropped.
   size_t bytes_sent_ = 0;
   size_t bytes_received_ = 0;
-  size_t bytes_enqueued_ = 0;
 };
 
 }  // namespace net

@@ -59,6 +59,11 @@ void EncodeFrame(const transport::Message& message, std::vector<uint8_t>* out);
 /// Convenience: the frame as a fresh buffer.
 std::vector<uint8_t> EncodeFrame(const transport::Message& message);
 
+/// Size in bytes of `message`'s frame encoding.
+inline size_t FrameBytes(const transport::Message& message) {
+  return kFrameHeaderBytes + message.label.size() + message.payload.size();
+}
+
 /// Incremental frame parser: feed bytes as they arrive, pop complete
 /// Messages. Once an error is reported the decoder stays failed (a byte
 /// stream with one corrupt frame has lost sync for good).

@@ -152,7 +152,7 @@ bool TcpStream::SetReadTimeout(std::chrono::milliseconds timeout) {
 TcpListener::~TcpListener() { ShutdownAndRelease(&fd_); }
 
 std::unique_ptr<TcpListener> TcpListener::Listen(const std::string& host,
-                                                 uint16_t port, int backlog) {
+                                                 uint16_t port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) return nullptr;
   int one = 1;
@@ -170,7 +170,7 @@ std::unique_ptr<TcpListener> TcpListener::Listen(const std::string& host,
   }
   if (::bind(fd, reinterpret_cast<struct sockaddr*>(&addr), sizeof(addr)) !=
           0 ||
-      ::listen(fd, backlog) != 0) {
+      ::listen(fd, SOMAXCONN) != 0) {
     ::close(fd);
     return nullptr;
   }

@@ -68,12 +68,15 @@ class TcpStream : public ByteStream, public NonBlockingStream {
 
 class TcpListener {
  public:
-  /// Binds and listens on host:port. `host` must be a dotted-quad IPv4
-  /// address ("127.0.0.1", "0.0.0.0", ...); anything else fails rather
-  /// than silently binding all interfaces. Pass port 0 for an ephemeral
-  /// port and read it back with port(). Returns nullptr on failure.
+  /// Binds and listens on host:port with the system's maximum accept
+  /// backlog (SOMAXCONN): a short queue overflows under a connection burst
+  /// and the dropped SYNs retry only after the kernel's 1 s timer. `host`
+  /// must be a dotted-quad IPv4 address ("127.0.0.1", "0.0.0.0", ...);
+  /// anything else fails rather than silently binding all interfaces.
+  /// Pass port 0 for an ephemeral port and read it back with port().
+  /// Returns nullptr on failure.
   static std::unique_ptr<TcpListener> Listen(const std::string& host,
-                                             uint16_t port, int backlog = 64);
+                                             uint16_t port);
 
   ~TcpListener();
 

@@ -51,7 +51,10 @@ class FullTransferBob : public PartySessionBase {
     }
     BitReader r(message.payload);
     uint64_t count = 0;
-    if (!r.ReadVarint(&count)) {
+    if (!r.ReadVarint(&count) ||
+        !WireCountFits(count, static_cast<uint64_t>(
+                                  context_.universe.BitsPerPoint()),
+                       r.bits_remaining())) {
       FailWith(SessionError::kMalformedMessage);
       return NoMessages();
     }

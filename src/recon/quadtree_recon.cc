@@ -1,5 +1,6 @@
 #include "recon/quadtree_recon.h"
 
+#include <algorithm>
 #include <unordered_map>
 #include <utility>
 
@@ -151,6 +152,26 @@ StrataConfig AdaptiveLevelProbeConfig(int level, uint64_t seed) {
 
 namespace {
 
+// The most cells a legal "qt-level-request" can name. Bob sizes a request
+// from his strata estimate for the level, which never exceeds a stratum's
+// cell count times 2^num_strata (a fully peeled stratum holds at most one
+// entry per cell): twice the estimate, floored at the decode budget, and
+// doubled on each retry.
+uint64_t MaxLevelRequestCells(const QuadtreeParams& params,
+                              size_t max_attempts, uint64_t seed) {
+  const StrataConfig probe = LevelStrataConfig(seed);
+  IbltConfig stratum;
+  stratum.cells = probe.cells_per_stratum;
+  stratum.q = probe.q;
+  const uint64_t max_estimate = uint64_t{stratum.RoundedCells()}
+                                << probe.num_strata;
+  uint64_t target = 2 * max_estimate;
+  if (target < params.DecodeBudget()) target = params.DecodeBudget();
+  const size_t retries = max_attempts > 0 ? max_attempts - 1 : 0;
+  return RecommendedCells(static_cast<size_t>(target << retries), params.q,
+                          params.headroom);
+}
+
 void FillLevelEstimator(const ShiftedGrid& grid, const PointSet& points,
                         int level, StrataEstimator* est) {
   const auto histogram = BuildCellHistogram(grid, points, level);
@@ -273,8 +294,13 @@ class QuadtreeBob : public PartySessionBase {
 class AdaptiveQuadtreeAlice : public PartySessionBase {
  public:
   AdaptiveQuadtreeAlice(const ProtocolContext& context,
-                        const QuadtreeParams& params, PointSet points)
-      : context_(context), params_(params), points_(std::move(points)) {}
+                        const QuadtreeParams& params, size_t max_attempts,
+                        PointSet points)
+      : context_(context),
+        params_(params),
+        max_request_cells_(
+            MaxLevelRequestCells(params, max_attempts, context.seed)),
+        points_(std::move(points)) {}
 
   std::vector<transport::Message> Start() override {
     const ShiftedGrid grid(context_.universe, context_.seed);
@@ -302,6 +328,17 @@ class AdaptiveQuadtreeAlice : public PartySessionBase {
       FailWith(SessionError::kMalformedMessage);
       return NoMessages();
     }
+    // The request sizes a table this side allocates: it must name one of
+    // the protocol's levels and no more cells than a legal Bob asks for.
+    const std::vector<int> levels = ProtocolLevels(grid, params_);
+    const bool known_level =
+        std::any_of(levels.begin(), levels.end(), [req_level](int level) {
+          return static_cast<uint64_t>(level) == req_level;
+        });
+    if (!known_level || !WireCountFits(req_cells, 1, max_request_cells_)) {
+      FailWith(SessionError::kMalformedMessage);
+      return NoMessages();
+    }
     IbltConfig config = LevelIbltConfig(grid, static_cast<int>(req_level), n,
                                         params_, context_.seed);
     config.cells = static_cast<size_t>(req_cells);
@@ -325,6 +362,7 @@ class AdaptiveQuadtreeAlice : public PartySessionBase {
  private:
   ProtocolContext context_;
   QuadtreeParams params_;
+  uint64_t max_request_cells_;
   PointSet points_;
 };
 
@@ -487,7 +525,8 @@ std::unique_ptr<PartySession> QuadtreeReconciler::MakeBobSession(
 
 std::unique_ptr<PartySession> AdaptiveQuadtreeReconciler::MakeAliceSession(
     const PointSet& points) const {
-  return std::make_unique<AdaptiveQuadtreeAlice>(context_, params_, points);
+  return std::make_unique<AdaptiveQuadtreeAlice>(context_, params_,
+                                                 max_attempts_, points);
 }
 
 std::unique_ptr<PartySession> AdaptiveQuadtreeReconciler::MakeBobSession(

@@ -9,7 +9,6 @@
 #include "recon/exact_recon.h"
 #include "recon/session.h"
 #include "server/handshake.h"
-#include "server/replica_serving.h"
 
 namespace rsr {
 namespace replica {

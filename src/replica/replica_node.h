@@ -149,11 +149,13 @@ class ReplicaNode {
                            const std::string& peer_name = "peer");
 
   /// Split-dialer form: the "@log-fetch" leg dials `fetch_peer` and the
-  /// "@pull" repair leg dials `repair_peer`. The legs are separable because
-  /// the async host serves "@log-fetch" but not "@pull" (DESIGN.md §10):
-  /// a follower can tail an async writer while keeping its repair path on
-  /// the peer's threaded host. The convergence fuzzer routes its
-  /// async-host sync steps through exactly this seam.
+  /// "@pull" repair leg dials `repair_peer`. Both hosts serve both verbs,
+  /// so one dialer is enough in production; the split lets a caller treat
+  /// the legs differently — fault only the tail leg
+  /// (tests/replication_fault_test.cc), or tail a host that mirrors a
+  /// peer's set and log while repairing against the peer itself, whose
+  /// replication position the mirror does not carry (the convergence
+  /// fuzzer's async-host steps).
   RoundRecord SyncWithPeer(const StreamFactory& fetch_peer,
                            const StreamFactory& repair_peer,
                            const std::string& peer_name = "peer");

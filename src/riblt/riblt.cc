@@ -64,6 +64,14 @@ int RibltConfig::CoordSumBits() const {
   return bits > 63 ? 63 : bits;
 }
 
+uint64_t RibltMaxEntries(const Universe& universe) {
+  // CoordSumBits is the tighter cap: width(delta) + width(max_entries + 1)
+  // + 1 <= 63.
+  const int width =
+      62 - BitWidthForUniverse(static_cast<uint64_t>(universe.delta));
+  return width > 0 ? (uint64_t{1} << width) - 1 : 0;
+}
+
 size_t RibltConfig::SerializedBits() const {
   const size_t per_cell =
       static_cast<size_t>(count_bits) +

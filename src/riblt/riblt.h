@@ -55,6 +55,11 @@ struct RibltConfig {
   size_t SerializedBits() const;
 };
 
+/// The largest max_entries over `universe` whose sum fields stay below
+/// their width caps. Beyond it a sum could overflow its field, so no legal
+/// table claims more entries.
+uint64_t RibltMaxEntries(const Universe& universe);
+
 /// One extracted entry: `copies` identical keys collapsed into one record;
 /// `values` holds one independently rounded point per copy.
 struct RibltEntry {

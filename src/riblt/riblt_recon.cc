@@ -84,7 +84,10 @@ class RibltOneShotBob : public recon::PartySessionBase {
     // Alice's n is prefixed: max_entries (and thus the sum-field widths)
     // must match hers even when the set sizes differ.
     uint64_t alice_n = 0;
-    if (!r.ReadVarint(&alice_n)) {
+    // max_entries = 2n + 2 must fit the sum fields (and must not wrap).
+    const uint64_t max_entries = RibltMaxEntries(context_.universe);
+    if (!r.ReadVarint(&alice_n) || max_entries < 2 ||
+        !WireCountFits(alice_n, 2, max_entries - 2)) {
       FailWith(recon::SessionError::kMalformedMessage);
       return NoMessages();
     }

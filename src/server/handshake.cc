@@ -367,10 +367,6 @@ transport::Message EncodeStatsRequest() {
   return transport::MakeMessage(kStatsLabel, std::move(writer));
 }
 
-bool DecodeStatsRequest(const transport::Message& message) {
-  return message.label == kStatsLabel;
-}
-
 transport::Message EncodeStatsReply(const std::string& text) {
   BitWriter writer;
   WriteString(text, &writer);

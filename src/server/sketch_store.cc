@@ -124,6 +124,20 @@ std::optional<StrataEstimator> SketchSnapshot::ExactStrata(
   return exact_strata_;
 }
 
+StrataEstimator SnapshotStrata(const SketchSnapshot& snapshot,
+                               const recon::ProtocolContext& context) {
+  const StrataConfig config = recon::ExactReconStrataConfig(context.seed);
+  std::optional<StrataEstimator> cached = snapshot.ExactStrata(config);
+  if (cached.has_value()) return *std::move(cached);
+  StrataEstimator estimator(config);
+  for (const auto& [key, point] :
+       recon::ExactKeyedPoints(snapshot.points(), context.seed)) {
+    (void)point;
+    estimator.Insert(key);
+  }
+  return estimator;
+}
+
 std::shared_ptr<const recon::KeyedPointList> SketchSnapshot::ExactKeyedPoints(
     uint64_t seed) const {
   if (exact_keyed_ == nullptr || seed != seed_) return nullptr;

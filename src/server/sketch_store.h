@@ -131,6 +131,14 @@ class SketchSnapshot final : public recon::CanonicalSketchProvider {
   std::optional<Riblt> oneshot_;
 };
 
+/// The exact-keys strata estimator of `snapshot`'s point set under the
+/// baseline config recon::ExactReconStrataConfig(context.seed): the cached
+/// one when the snapshot materializes sketches, built from the points
+/// otherwise. This is the estimator every ExactBob session ships, so a
+/// repair sized from it matches what the repair protocol will see.
+StrataEstimator SnapshotStrata(const SketchSnapshot& snapshot,
+                               const recon::ProtocolContext& context);
+
 /// The mutable store. Thread-safe: any number of threads may call
 /// Snapshot() while one (or several, serialized internally) call
 /// ApplyUpdate.

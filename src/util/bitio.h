@@ -79,6 +79,17 @@ class BitReader {
   size_t pos_ = 0;
 };
 
+/// The check every decoder makes on a count it read off the wire, before
+/// it sizes anything by it: true iff `count` items of `unit` each fit
+/// within `limit`, computed without overflow. Against a reader's
+/// bits_remaining() with `unit` = bits per item, it rejects a claim the
+/// message cannot back; against the most a legal peer could claim, with
+/// `unit` = 1, it rejects a claim no honest peer makes. A hostile count is
+/// then a malformed message instead of an allocation without bound.
+inline bool WireCountFits(uint64_t count, uint64_t unit, uint64_t limit) {
+  return unit == 0 || count <= limit / unit;
+}
+
 /// Number of bits needed to represent values in [0, n); BitWidth(0|1) == 0...
 /// Specifically: smallest b with n <= 2^b. BitWidthFor(1) == 0,
 /// BitWidthFor(2) == 1, BitWidthFor(1024) == 10.
